@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+REPO = Path(__file__).resolve().parents[1]
+EXAMPLES = REPO / "examples"
 
 
 def run_example(name: str, argv: list[str] | None = None) -> None:
@@ -74,3 +75,7 @@ def test_reproduce_paper(tmp_path, capsys):
     report = (tmp_path / "EXPERIMENTS.md").read_text()
     assert "Table VI" in report
     assert "Fig. 6" in report
+    # The committed report is the reproduction's output contract: any
+    # change to a simulated number must regenerate it in the same change.
+    assert ((tmp_path / "EXPERIMENTS.md").read_bytes()
+            == (REPO / "EXPERIMENTS.md").read_bytes())
