@@ -21,13 +21,19 @@ replayed from the retained store to a *new* subscriber carries
 copied the publisher's ``retain`` request and replays reused the stored
 flag — which made it impossible for a dashboard to tell a fresh sample
 from a stale replay.)
+
+A sampling daemon publishes a node's whole instant as typed ``(topic,
+value)`` pairs (:meth:`MQTTBroker.publish_samples`), through the same
+delivery loop as a wire :meth:`MQTTBroker.publish`; a typed message
+encodes its Table II ``payload`` only when someone reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.examon.payload import check_value, encode_payload
 from repro.examon.topics import topic_matches
 
 __all__ = ["MQTTMessage", "MQTTBroker", "Subscription",
@@ -44,14 +50,25 @@ class BrokerUnavailableError(ConnectionError):
     """
 
 
-@dataclass(frozen=True, slots=True)
 class MQTTMessage:
-    """One published message."""
+    """One published message: a typed ``value`` or a wire ``payload``."""
 
-    topic: str
-    payload: str
-    timestamp_s: float
-    retained: bool = False
+    __slots__ = ("topic", "value", "timestamp_s", "retained", "_payload")
+
+    def __init__(self, topic: str, payload: Optional[str], timestamp_s: float,
+                 retained: bool = False, value: Optional[float] = None) -> None:
+        self.topic = topic
+        self.value = value  # None for a wire message: decode its payload
+        self.timestamp_s = timestamp_s
+        self.retained = retained
+        self._payload = payload
+
+    @property
+    def payload(self) -> str:
+        """The Table II text, encoded on first read for typed messages."""
+        if self._payload is None:
+            self._payload = encode_payload(self.value, self.timestamp_s)
+        return self._payload
 
 
 @dataclass(slots=True)
@@ -96,14 +113,10 @@ class MQTTBroker:
         self._subscriptions: List[Subscription] = []
         self._root = _TrieNode()
         self._retained: Dict[str, MQTTMessage] = {}
-        #: Per-topic resolved subscription lists.  The sampling plugins
-        #: publish the same few hundred concrete topics every period, so
-        #: after the first publish of each topic the trie walk (and its
-        #: subscription-order sort) is a dict hit.  Any subscribe or
-        #: unsubscribe clears the cache wholesale — correctness first; a
-        #: deployment's subscription set changes a handful of times per
-        #: run, its topic set never.
-        self._match_cache: Dict[str, List[Subscription]] = {}
+        #: Per-topic delivery callbacks in subscription order: after a
+        #: topic's first publish (and wildcard check) the trie walk is a
+        #: dict hit.  Subscribe and unsubscribe clear it wholesale.
+        self._match_cache: Dict[str, tuple] = {}
         self._next_seq = 1
         self.messages_published = 0
         self.messages_delivered = 0
@@ -149,7 +162,9 @@ class MQTTBroker:
         # publish.
         for topic in sorted(self._retained):  # simlint: disable=PERF303
             if topic_matches(pattern, topic):
-                callback(replace(self._retained[topic], retained=True))
+                stored = self._retained[topic]
+                callback(MQTTMessage(topic, stored.payload, stored.timestamp_s,
+                                     True, stored.value))
                 self.messages_delivered += 1
         return subscription
 
@@ -161,10 +176,6 @@ class MQTTBroker:
             self._subscriptions.remove(subscription)
             self._index_remove(subscription)
             self._match_cache.clear()
-
-    def subscriptions_of(self, client_id: str) -> List[Subscription]:
-        """All live subscriptions of one client."""
-        return [s for s in self._subscriptions if s.client_id == client_id]
 
     # -- subscription index --------------------------------------------------
     def _index_insert(self, subscription: Subscription) -> None:
@@ -233,36 +244,64 @@ class MQTTBroker:
     # -- publish -----------------------------------------------------------
     def publish(self, topic: str, payload: str, timestamp_s: float,
                 retain: bool = True) -> int:
-        """Publish one message; returns the number of deliveries.
+        """Publish one wire-format message; returns the number of deliveries.
 
         ExaMon retains the last sample per topic by default so that
         dashboards attaching mid-run render immediately.  Live deliveries
         carry ``retained=False`` (MQTT 3.1.1: the retain flag marks store
         replays, not the publisher's retain request).
         """
-        if "+" in topic or "#" in topic:
-            raise ValueError(f"cannot publish to a wildcard topic: {topic!r}")
+        return self._deliver(((topic, payload),), timestamp_s, retain, False)
+
+    def publish_samples(self, items: Iterable[Tuple[str, float]],
+                        timestamp_s: float, retain: bool = True) -> int:
+        """Publish one instant's typed ``(topic, value)`` samples at once.
+
+        Same deliveries, counters and bytes as :meth:`publish` of each
+        ``encode_payload(value, timestamp_s)``; returns total deliveries.
+        """
+        return self._deliver(items, timestamp_s, retain, True)
+
+    def _deliver(self, items: Iterable[Tuple[str, object]], timestamp_s: float,
+                 retain: bool, typed: bool) -> int:
+        """The one delivery loop behind both publish entry points."""
         if not self.available:
             self.publish_rejects += 1
             raise BrokerUnavailableError(
                 f"broker {self.hostname!r} is down; connect refused")
-        message = MQTTMessage(topic=topic, payload=payload,
-                              timestamp_s=timestamp_s, retained=False)
-        self.messages_published += 1
-        self.bytes_published += len(topic) + len(payload)
-        if retain:
-            self._retained[topic] = message
-        subscriptions = self._match_cache.get(topic)
-        if subscriptions is None:
-            subscriptions = self._match(topic.split("/"))
-            self._match_cache[topic] = subscriptions
-        else:
-            self.match_cache_hits += 1
-        delivered = 0
-        for subscription in subscriptions:
-            subscription.callback(message)
-            delivered += 1
-        self.messages_delivered += delivered
+        cache = self._match_cache
+        retained = self._retained
+        stamp_bytes = len(str(timestamp_s)) + 1  # ";<timestamp>" of a typed one
+        published = delivered = hits = nbytes = 0
+        try:
+            for topic, data in items:
+                callbacks = cache.get(topic)
+                if callbacks is None:
+                    if "+" in topic or "#" in topic:
+                        raise ValueError(f"wildcard publish topic: {topic!r}")
+                    callbacks = cache[topic] = tuple(
+                        s.callback for s in self._match(topic.split("/")))
+                else:
+                    hits += 1
+                if typed:
+                    if type(data) is not float:  # check_value passes floats
+                        check_value(data)
+                    message = MQTTMessage(topic, None, timestamp_s, False, data)
+                    nbytes += len(topic) + len(str(data)) + stamp_bytes
+                else:
+                    message = MQTTMessage(topic, data, timestamp_s)
+                    nbytes += len(topic) + len(data)
+                published += 1
+                if retain:
+                    retained[topic] = message
+                for callback in callbacks:
+                    callback(message)
+                delivered += len(callbacks)
+        finally:
+            self.messages_published += published
+            self.messages_delivered += delivered
+            self.match_cache_hits += hits
+            self.bytes_published += nbytes
         return delivered
 
     def retained_topics(self) -> List[str]:

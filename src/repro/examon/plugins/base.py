@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from itertools import islice
-from typing import Deque, Dict, Generator, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.chaos.backoff import ExponentialBackoff
 from repro.events.engine import Engine, Event
 from repro.examon.broker import BrokerUnavailableError, MQTTBroker
-from repro.examon.payload import encode_payload
 from repro.examon.topics import TopicSchema
 
 __all__ = ["SamplingPlugin"]
@@ -42,9 +40,9 @@ class SamplingPlugin(ABC):
     """A node-resident daemon publishing samples at a fixed rate.
 
     Subclasses implement :meth:`sample`, returning topic → value for one
-    sampling instant; the base class handles the MQTT encoding, the
-    publish loop, outage buffering/reconnect/backfill, and sample
-    accounting.
+    sampling instant; the base class hands each instant to the broker as
+    one typed batch and handles outage buffering/reconnect/backfill and
+    sample accounting.
     """
 
     #: Bounded publish buffer: samples held across a broker outage.
@@ -105,26 +103,12 @@ class SamplingPlugin(ABC):
     def sample(self, now_s: float) -> Dict[str, float]:
         """One sampling instant: topic → numeric value."""
 
-    def publish_once(self, now_s: float) -> int:
-        """Take one sample and publish every metric; returns publish count.
-
-        The direct path — a down broker raises
-        :class:`~repro.examon.broker.BrokerUnavailableError` straight
-        through.  The daemon loop uses the hardened
-        :meth:`sample_and_publish` instead.
-        """
-        metrics = self.sample(now_s)
-        for topic, value in metrics.items():
-            self.broker.publish(topic, encode_payload(value, now_s), now_s)
-        self.samples_taken += 1
-        return len(metrics)
-
-    # -- hardened sampling path ---------------------------------------------
     def sample_and_publish(self, now_s: float) -> int:
         """One sampling instant of the daemon loop; never raises on outage.
 
         Returns the number of metrics delivered to the broker this instant
-        (0 while disconnected — those samples went to the buffer).
+        (0 while disconnected — those samples went to the buffer).  The
+        instant is one broker call, so a refused connect buffers all of it.
         """
         metrics = self.sample(now_s)
         self.samples_taken += 1
@@ -132,24 +116,13 @@ class SamplingPlugin(ABC):
             self._buffer_metrics(metrics, now_s)
             self._maybe_reconnect(now_s)
             return 0
-        # Batched publish: the whole node's metric set goes out under one
-        # try block with the broker method bound once, instead of a list
-        # copy plus a per-metric exception frame.  Broker availability
-        # cannot change mid-batch (nothing yields to the engine here), so
-        # the only divergence point is the broker refusing the connect —
-        # in which case ``published`` marks where the batch stopped and
-        # the failed metric onwards is buffered, exactly as before.
-        publish = self.broker.publish
-        published = 0
         try:
-            for topic, value in metrics.items():
-                publish(topic, encode_payload(value, now_s), now_s)
-                published += 1
+            self.broker.publish_samples(metrics.items(), now_s)
         except BrokerUnavailableError:
-            self._buffer_metrics(dict(islice(metrics.items(), published,
-                                             None)), now_s)
+            self._buffer_metrics(metrics, now_s)
             self._disconnect(now_s)
-        return published
+            return 0
+        return len(metrics)
 
     def _buffer_metrics(self, metrics: Dict[str, float], now_s: float) -> None:
         for topic, value in metrics.items():
@@ -179,22 +152,24 @@ class SamplingPlugin(ABC):
 
     def _reconnect(self, now_s: float) -> None:
         """Broker reachable again: backfill the buffer, resume live mode."""
+        buffer = self._buffer
         backfilled = 0
-        while self._buffer:
-            topic, value, timestamp_s = self._buffer[0]
+        while buffer:
+            timestamp_s = buffer[0][2]
+            batch: List[_BufferedSample] = []
+            while buffer and buffer[0][2] == timestamp_s:
+                batch.append(buffer.popleft())
             try:
-                # Original sample timestamp: the payload clock (which the
-                # TSDB indexes by) covers the outage window, and
-                # chronological flush order keeps the retained store's
-                # last-sample-per-topic invariant.
-                self.broker.publish(topic, encode_payload(value, timestamp_s),
-                                    timestamp_s)
+                # One batch per instant under its original timestamp: the
+                # TSDB covers the outage window, and chronological order
+                # keeps the retained store's last-sample-per-topic invariant.
+                self.broker.publish_samples([s[:2] for s in batch], timestamp_s)
             except BrokerUnavailableError:
                 # Flapped down again mid-backfill; keep the rest buffered.
+                buffer.extendleft(reversed(batch))
                 self._disconnect(now_s)
                 return
-            self._buffer.popleft()
-            backfilled += 1
+            backfilled += len(batch)
         self.samples_backfilled += backfilled
         self._connected = True
         self._record_recovery("broker-outage", self.broker.hostname,

@@ -46,17 +46,18 @@ class PmuPubPlugin(SamplingPlugin):
 
         With the stock U-Boot only ``cycles`` and ``instructions`` appear;
         the patched bootloader exposes the full programmable set — the
-        exact difference §IV-B describes.
+        exact difference §IV-B describes.  One counter snapshot per core.
         """
         perf = self.node.board.perf
         topics = self._topic_cache
         metrics: Dict[str, float] = {}
         for core_id in perf.core_ids:
+            counts = perf.read_all(core_id)
             for event in perf.available_events(core_id):
                 topic = topics.get((core_id, event))
                 if topic is None:
                     topic = self.schema.pmu_topic(self.hostname, core_id,
                                                   event)
                     topics[(core_id, event)] = topic
-                metrics[topic] = float(perf.read(core_id, event))
+                metrics[topic] = float(counts[event])
         return metrics

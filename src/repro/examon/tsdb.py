@@ -1,8 +1,9 @@
 """The storage backend: a time-series database fed by the broker.
 
 Plays the role of ExaMon's Cassandra/KairosDB backend: it subscribes to
-the cluster-wide data pattern, decodes payloads, and stores (time, value)
-points per topic.  Queries support time ranges, window aggregation
+the cluster-wide data pattern and stores (time, value) points per topic
+in two ``array('d')`` columns; wire payloads are decoded strictly, typed
+samples stored as is.  Queries support time ranges, window aggregation
 (mean/max/min/sum/rate) and cross-series alignment — enough surface for
 the Grafana-style dashboards and the batch REST API of §IV-B.
 """
@@ -10,8 +11,8 @@ the Grafana-style dashboards and the batch REST API of §IV-B.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from repro.examon.broker import MQTTBroker, MQTTMessage
 from repro.examon.payload import decode_payload
@@ -34,7 +35,7 @@ class TimeSeriesDB:
     """Topic-keyed time series with range queries and aggregation."""
 
     def __init__(self) -> None:
-        self._series: Dict[str, List[SeriesPoint]] = {}
+        self._series: Dict[str, Tuple[array, array]] = {}  # (times, values)
         self.points_stored = 0
         self.decode_errors = 0
         #: Monotone-timestamp inserts served by the append-only fast path.
@@ -51,11 +52,13 @@ class TimeSeriesDB:
 
     def ingest(self, message: MQTTMessage) -> None:
         """Store one MQTT message (malformed payloads are counted, kept out)."""
-        try:
-            value, timestamp = decode_payload(message.payload)
-        except ValueError:
-            self.decode_errors += 1
-            return
+        value, timestamp = message.value, message.timestamp_s
+        if value is None:
+            try:
+                value, timestamp = decode_payload(message.payload)
+            except ValueError:
+                self.decode_errors += 1
+                return
         self.insert(message.topic, timestamp, value)
 
     def insert(self, topic: str, timestamp_s: float, value: float) -> None:
@@ -63,19 +66,24 @@ class TimeSeriesDB:
 
         Live monitoring traffic is monotone per topic (each sampling
         daemon stamps its own clock), so the overwhelmingly common case
-        is a plain list append; only out-of-order arrivals — outage
+        is a plain column append; only out-of-order arrivals — outage
         backfills replayed with their original timestamps — pay the
-        ``bisect`` insertion that keeps the series sorted.
+        insertion that keeps the series sorted.
         """
         series = self._series.get(topic)
         if series is None:
-            series = self._series[topic] = []
-        if series and timestamp_s < series[-1][0]:
-            # Out-of-order arrival: keep the store sorted.
-            bisect.insort(series, (timestamp_s, value))
+            series = self._series[topic] = (array("d"), array("d"))
+        times, values = series
+        if times and timestamp_s < times[-1]:
+            # Out of order: go where ``insort`` puts the tuple (t, v).
+            at = bisect.bisect_right(range(len(times)), (timestamp_s, value),
+                                     key=lambda i: (times[i], values[i]))
+            times.insert(at, timestamp_s)
+            values.insert(at, value)
             self.sorted_inserts += 1
         else:
-            series.append((timestamp_s, value))
+            times.append(timestamp_s)
+            values.append(value)
             self.fast_appends += 1
         self.points_stored += 1
 
@@ -88,15 +96,15 @@ class TimeSeriesDB:
     def query(self, topic: str, start_s: float = float("-inf"),
               end_s: float = float("inf")) -> List[SeriesPoint]:
         """Raw points of one series inside [start, end]."""
-        series = self._series.get(topic, [])
-        lo = bisect.bisect_left(series, (start_s, float("-inf")))
-        hi = bisect.bisect_right(series, (end_s, float("inf")))
-        return series[lo:hi]
+        times, values = self._series.get(topic, ((), ()))
+        lo = bisect.bisect_left(times, start_s)
+        hi = bisect.bisect_right(times, end_s)
+        return list(zip(times[lo:hi], values[lo:hi]))
 
     def latest(self, topic: str) -> Optional[SeriesPoint]:
         """Most recent point of a series, or None."""
         series = self._series.get(topic)
-        return series[-1] if series else None
+        return (series[0][-1], series[1][-1]) if series else None
 
     def aggregate(self, topic: str, start_s: float, end_s: float,
                   window_s: float, how: str = "mean") -> List[SeriesPoint]:

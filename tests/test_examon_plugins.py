@@ -42,12 +42,12 @@ class TestPmuPub:
         suffixes = {topic.rsplit("/", 1)[1] for topic in metrics}
         assert suffixes == {"cycles", "instructions"}
 
-    def test_publish_once_encodes_table_ii_payload(self):
+    def test_sample_and_publish_encodes_table_ii_payload(self):
         broker = MQTTBroker()
         received = []
         broker.subscribe("test", "#", received.append)
         plugin = PmuPubPlugin(booted_node(), broker)
-        count = plugin.publish_once(30.0)
+        count = plugin.sample_and_publish(30.0)
         assert count == len(received)
         value, timestamp = decode_payload(received[0].payload)
         assert timestamp == 30.0

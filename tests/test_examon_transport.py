@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.examon.broker import MQTTBroker
 from repro.examon.payload import decode_payload, encode_payload
 from repro.examon.topics import TopicSchema, topic_matches
+from repro.examon.tsdb import TimeSeriesDB
 
 
 class TestTopicSchema:
@@ -102,6 +103,58 @@ class TestPayload:
         decoded_value, decoded_ts = decode_payload(encode_payload(value, ts))
         assert decoded_value == value
         assert decoded_ts == ts
+
+
+class TestStrictCodec:
+    """The Table II codec at the wire boundary accepts strict input only."""
+
+    def test_bytes_payload_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            decode_payload(b"1;0")
+
+    def test_bytes_payload_counted_as_decode_error_not_raised(self):
+        broker = MQTTBroker()
+        db = TimeSeriesDB()
+        db.attach(broker, "#")
+        assert broker.publish("t", b"1;0", 0.0) == 1  # publisher survives
+        assert db.decode_errors == 1
+        assert db.points_stored == 0
+
+    @pytest.mark.parametrize("payload", [" 1 ; 2 ", "1 ;2", "1; 2", "\t1;2",
+                                         "1;2\n"])
+    def test_whitespace_padded_fields_rejected(self, payload):
+        with pytest.raises(ValueError):
+            decode_payload(payload)
+
+    @pytest.mark.parametrize("payload", ["1_0;2", "1;2_0"])
+    def test_underscore_literals_rejected(self, payload):
+        with pytest.raises(ValueError):
+            decode_payload(payload)
+
+    @pytest.mark.parametrize("payload", ["nan;1.0", "inf;1.0", "-inf;2.5",
+                                         "1e+20;0", "-0.0;3"])
+    def test_float_repr_spellings_accepted(self, payload):
+        value, _ts = decode_payload(payload)
+        assert repr(value) == payload.partition(";")[0]
+
+    def test_bool_value_rejected_on_encode(self):
+        with pytest.raises(TypeError):
+            encode_payload(True, 1.0)
+
+    @pytest.mark.parametrize("value,error", [(True, TypeError),
+                                             (False, TypeError),
+                                             ("1", TypeError),
+                                             (None, TypeError),
+                                             (b"1", TypeError),
+                                             (10 ** 400, OverflowError)])
+    def test_typed_and_wire_paths_reject_the_same_values(self, value, error):
+        with pytest.raises(error):
+            encode_payload(value, 1.0)
+        broker = MQTTBroker()
+        with pytest.raises(error):
+            broker.publish_samples([("a/b", value)], 1.0)
+        assert (broker.messages_published, broker.bytes_published,
+                broker.match_cache_hits) == (0, 0, 0)
 
 
 class TestBroker:
