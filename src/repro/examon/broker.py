@@ -278,7 +278,8 @@ class MQTTBroker:
                 callbacks = cache.get(topic)
                 if callbacks is None:
                     if "+" in topic or "#" in topic:
-                        raise ValueError(f"wildcard publish topic: {topic!r}")
+                        raise ValueError(
+                            f"cannot publish to a wildcard topic: {topic!r}")
                     callbacks = cache[topic] = tuple(
                         s.callback for s in self._match(topic.split("/")))
                 else:
