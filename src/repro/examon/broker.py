@@ -31,7 +31,8 @@ encodes its Table II ``payload`` only when someone reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from repro.examon.payload import check_value, encode_payload
 from repro.examon.topics import topic_matches
@@ -50,25 +51,21 @@ class BrokerUnavailableError(ConnectionError):
     """
 
 
-class MQTTMessage:
-    """One published message: a typed ``value`` or a wire ``payload``."""
+class MQTTMessage(NamedTuple):
+    """One published message: a typed ``value`` or a ``wire`` payload."""
 
-    __slots__ = ("topic", "value", "timestamp_s", "retained", "_payload")
-
-    def __init__(self, topic: str, payload: Optional[str], timestamp_s: float,
-                 retained: bool = False, value: Optional[float] = None) -> None:
-        self.topic = topic
-        self.value = value  # None for a wire message: decode its payload
-        self.timestamp_s = timestamp_s
-        self.retained = retained
-        self._payload = payload
+    topic: str
+    wire: Optional[str]  # the Table II text; None for a typed message
+    timestamp_s: float
+    retained: bool = False
+    value: Optional[float] = None  # None for a wire message: decode ``wire``
 
     @property
     def payload(self) -> str:
-        """The Table II text, encoded on first read for typed messages."""
-        if self._payload is None:
-            self._payload = encode_payload(self.value, self.timestamp_s)
-        return self._payload
+        """The Table II text, encoded on read for typed messages."""
+        if self.wire is None:
+            return encode_payload(self.value, self.timestamp_s)
+        return self.wire
 
 
 @dataclass(slots=True)
@@ -162,9 +159,7 @@ class MQTTBroker:
         # publish.
         for topic in sorted(self._retained):  # simlint: disable=PERF303
             if topic_matches(pattern, topic):
-                stored = self._retained[topic]
-                callback(MQTTMessage(topic, stored.payload, stored.timestamp_s,
-                                     True, stored.value))
+                callback(self._retained[topic]._replace(retained=True))
                 self.messages_delivered += 1
         return subscription
 
@@ -254,13 +249,13 @@ class MQTTBroker:
         return self._deliver(((topic, payload),), timestamp_s, retain, False)
 
     def publish_samples(self, items: Iterable[Tuple[str, float]],
-                        timestamp_s: float, retain: bool = True) -> int:
+                        timestamp_s: float) -> int:
         """Publish one instant's typed ``(topic, value)`` samples at once.
 
         Same deliveries, counters and bytes as :meth:`publish` of each
         ``encode_payload(value, timestamp_s)``; returns total deliveries.
         """
-        return self._deliver(items, timestamp_s, retain, True)
+        return self._deliver(items, timestamp_s, True, True)
 
     def _deliver(self, items: Iterable[Tuple[str, object]], timestamp_s: float,
                  retain: bool, typed: bool) -> int:
@@ -273,8 +268,11 @@ class MQTTBroker:
         retained = self._retained
         stamp_bytes = len(str(timestamp_s)) + 1  # ";<timestamp>" of a typed one
         published = delivered = hits = nbytes = 0
+        make = tuple.__new__  # MQTTMessage(...) without its Python-level frame
         try:
             for topic, data in items:
+                if typed and type(data) is not float:  # floats always pass
+                    check_value(data)
                 callbacks = cache.get(topic)
                 if callbacks is None:
                     if "+" in topic or "#" in topic:
@@ -285,12 +283,12 @@ class MQTTBroker:
                 else:
                     hits += 1
                 if typed:
-                    if type(data) is not float:  # check_value passes floats
-                        check_value(data)
-                    message = MQTTMessage(topic, None, timestamp_s, False, data)
+                    message = make(MQTTMessage,
+                                   (topic, None, timestamp_s, False, data))
                     nbytes += len(topic) + len(str(data)) + stamp_bytes
                 else:
-                    message = MQTTMessage(topic, data, timestamp_s)
+                    message = make(MQTTMessage,
+                                   (topic, data, timestamp_s, False, None))
                     nbytes += len(topic) + len(data)
                 published += 1
                 if retain:

@@ -52,14 +52,14 @@ class TimeSeriesDB:
 
     def ingest(self, message: MQTTMessage) -> None:
         """Store one MQTT message (malformed payloads are counted, kept out)."""
-        value, timestamp = message.value, message.timestamp_s
+        topic, wire, timestamp, _retained, value = message
         if value is None:
             try:
-                value, timestamp = decode_payload(message.payload)
+                value, timestamp = decode_payload(wire)
             except ValueError:
                 self.decode_errors += 1
                 return
-        self.insert(message.topic, timestamp, value)
+        self.insert(topic, timestamp, value)
 
     def insert(self, topic: str, timestamp_s: float, value: float) -> None:
         """Direct insertion (plugins under test use this path).

@@ -151,6 +151,12 @@ class TestStrictCodec:
             broker.publish_samples([("a/b", value)], 1.0)
         assert (broker.messages_published, broker.bytes_published,
                 broker.match_cache_hits) == (0, 0, 0)
+        # A bad value on an already-cached topic moves no counter either.
+        broker.publish_samples([("a/b", 1.0)], 1.0)
+        with pytest.raises(error):
+            broker.publish_samples([("a/b", value)], 2.0)
+        assert (broker.messages_published, broker.bytes_published,
+                broker.match_cache_hits) == (1, len("a/b1.0;1.0"), 0)
 
 
 class TestBroker:

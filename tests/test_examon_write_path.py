@@ -83,6 +83,10 @@ class TestTypedMatchesWire:
         assert message.payload == "42.5;7.0"
         with pytest.raises(AttributeError):
             message.payload = "1;1"
+        with pytest.raises(AttributeError):
+            message.value = 1.0
+        with pytest.raises(AttributeError):
+            message.timestamp_s = 0.0
 
 
 def reference_insert(series, timestamp_s, value):
