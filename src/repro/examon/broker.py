@@ -22,23 +22,30 @@ copied the publisher's ``retain`` request and replays reused the stored
 flag — which made it impossible for a dashboard to tell a fresh sample
 from a stale replay.)
 
-A sampling daemon publishes a node's whole instant as typed ``(topic,
-value)`` pairs (:meth:`MQTTBroker.publish_samples`), through the same
-delivery loop as a wire :meth:`MQTTBroker.publish`; a typed message
-encodes its Table II ``payload`` only when someone reads it.
+One publish call is one :class:`MQTTFrame`: a sampling daemon's whole
+instant as typed values (:meth:`MQTTBroker.publish_samples`), or one
+Table II wire message (:meth:`MQTTBroker.publish`).  The frame is
+validated whole before any state changes, its counters move in bulk,
+and each subscriber gets one frame per publish holding only the
+messages its pattern matched.  Messages are built from a frame only
+when someone iterates it; a typed message encodes its Table II
+``payload`` only when someone reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.examon.payload import check_value, encode_payload
 from repro.examon.topics import topic_matches
 
-__all__ = ["MQTTMessage", "MQTTBroker", "Subscription",
+__all__ = ["MQTTMessage", "MQTTFrame", "MQTTBroker", "Subscription",
            "BrokerUnavailableError"]
+
+#: The one type a typed value needs no :func:`check_value` call for.
+_FLOAT_ONLY = frozenset((float,))
 
 
 class BrokerUnavailableError(ConnectionError):
@@ -68,13 +75,75 @@ class MQTTMessage(NamedTuple):
         return self.wire
 
 
+class MQTTFrame:
+    """The messages of one publish call, all stamped ``timestamp_s``.
+
+    A typed frame carries ``values``, a wire frame the Table II ``wires``;
+    the other is None.  Iterating or indexing a frame builds its
+    :class:`MQTTMessage` objects on demand.  The fields are read-only and
+    hold tuples, because one frame reaches every subscriber and the
+    retained store.
+    """
+
+    __slots__ = ("_topics", "_values", "_wires", "_timestamp_s", "_retained")
+
+    def __init__(self, topics: Tuple[str, ...],
+                 values: Optional[Tuple[float, ...]],
+                 wires: Optional[Tuple[str, ...]], timestamp_s: float,
+                 retained: bool = False) -> None:
+        self._topics = topics
+        self._values = values
+        self._wires = wires
+        self._timestamp_s = timestamp_s
+        self._retained = retained
+
+    topics = property(lambda self: self._topics)
+    values = property(lambda self: self._values)
+    wires = property(lambda self: self._wires)
+    timestamp_s = property(lambda self: self._timestamp_s)
+    retained = property(lambda self: self._retained)
+
+    def __len__(self) -> int:
+        return len(self._topics)
+
+    def __getitem__(self, index: int) -> MQTTMessage:
+        if self._wires is None:
+            return MQTTMessage(self._topics[index], None, self._timestamp_s,
+                               self._retained, self._values[index])
+        return MQTTMessage(self._topics[index], self._wires[index],
+                           self._timestamp_s, self._retained)
+
+    def __iter__(self) -> Iterator[MQTTMessage]:
+        return map(self.__getitem__, range(len(self._topics)))
+
+    def subset(self, indices: Sequence[int],
+               retained: bool = False) -> "MQTTFrame":
+        """The frame of the messages at ``indices``, flagged ``retained``."""
+        def pick(column: Optional[tuple]) -> Optional[tuple]:
+            return None if column is None else tuple(map(column.__getitem__,
+                                                          indices))
+        return MQTTFrame(pick(self._topics), pick(self._values),
+                         pick(self._wires), self._timestamp_s, retained)
+
+
+class _Route(NamedTuple):
+    """Where one topics tuple goes: built once, reused on every publish."""
+
+    #: ``(callback, indices)`` in subscription order; ``indices`` is None
+    #: when the subscription matched every message of the frame.
+    deliveries: Tuple[Tuple[Callable[[MQTTFrame], None],
+                            Optional[Tuple[int, ...]]], ...]
+    topic_bytes: int  # sum of len(topic), the topic part of bytes_published
+    count: int  # messages delivered per publish, over all subscriptions
+
+
 @dataclass(slots=True)
 class Subscription:
     """One client subscription: a pattern and its delivery callback."""
 
     client_id: str
     pattern: str
-    callback: Callable[[MQTTMessage], None]
+    callback: Callable[[MQTTFrame], None]
     #: Broker-assigned insertion sequence; deliveries happen in
     #: subscription order regardless of the index traversal order.
     seq: int = 0
@@ -109,11 +178,15 @@ class MQTTBroker:
         self.hostname = hostname
         self._subscriptions: List[Subscription] = []
         self._root = _TrieNode()
-        self._retained: Dict[str, MQTTMessage] = {}
-        #: Per-topic delivery callbacks in subscription order: after a
-        #: topic's first publish (and wildcard check) the trie walk is a
-        #: dict hit.  Subscribe and unsubscribe clear it wholesale.
-        self._match_cache: Dict[str, tuple] = {}
+        #: topic -> the frame that last carried it; replays build the
+        #: message from the frame.
+        self._retained: Dict[str, MQTTFrame] = {}
+        #: Per-topic matching subscriptions in subscription order: after a
+        #: topic's first publish the trie walk is a dict hit.
+        self._match_cache: Dict[str, List[Subscription]] = {}
+        #: Per-topics-tuple routes, built from the per-topic cache.
+        #: Subscribe and unsubscribe clear both caches wholesale.
+        self._routes: Dict[Tuple[str, ...], _Route] = {}
         self._next_seq = 1
         self.messages_published = 0
         self.messages_delivered = 0
@@ -140,12 +213,15 @@ class MQTTBroker:
 
     # -- subscribe ----------------------------------------------------------
     def subscribe(self, client_id: str, pattern: str,
-                  callback: Callable[[MQTTMessage], None]) -> Subscription:
+                  callback: Callable[[MQTTFrame], None]) -> Subscription:
         """Register a wildcard subscription.
 
-        Retained messages matching the pattern are delivered immediately
-        with the retain flag **set**, per MQTT retained-message semantics
-        (the subscriber can tell these replays from live traffic).
+        ``callback`` gets one :class:`MQTTFrame` per publish call, holding
+        the messages the pattern matched, in publish order.  Retained
+        messages matching the pattern are delivered immediately as
+        one-message frames with the retain flag **set**, per MQTT
+        retained-message semantics (the subscriber can tell these replays
+        from live traffic).
         """
         topic_matches(pattern, "probe")  # validates '#' placement
         subscription = Subscription(client_id=client_id, pattern=pattern,
@@ -153,13 +229,16 @@ class MQTTBroker:
         self._next_seq += 1
         self._subscriptions.append(subscription)
         self._index_insert(subscription)
-        self._match_cache.clear()
+        self._clear_caches()
         # Replay order is part of the subscribe contract (alphabetical);
         # this is a cold path — it runs once per subscription, not per
         # publish.
         for topic in sorted(self._retained):  # simlint: disable=PERF303
             if topic_matches(pattern, topic):
-                callback(self._retained[topic]._replace(retained=True))
+                frame = self._retained[topic]
+                # The last message of the frame on this topic.
+                last = len(frame) - 1 - frame.topics[::-1].index(topic)
+                callback(frame.subset((last,), retained=True))
                 self.messages_delivered += 1
         return subscription
 
@@ -170,7 +249,11 @@ class MQTTBroker:
         if subscription in self._subscriptions:  # simlint: disable=PERF302
             self._subscriptions.remove(subscription)
             self._index_remove(subscription)
-            self._match_cache.clear()
+            self._clear_caches()
+
+    def _clear_caches(self) -> None:
+        self._match_cache.clear()
+        self._routes.clear()
 
     # -- subscription index --------------------------------------------------
     def _index_insert(self, subscription: Subscription) -> None:
@@ -246,62 +329,82 @@ class MQTTBroker:
         carry ``retained=False`` (MQTT 3.1.1: the retain flag marks store
         replays, not the publisher's retain request).
         """
-        return self._deliver(((topic, payload),), timestamp_s, retain, False)
+        return self._deliver(MQTTFrame((topic,), None, (payload,),
+                                       timestamp_s), retain)
 
-    def publish_samples(self, items: Iterable[Tuple[str, float]],
+    def publish_samples(self, topics: Iterable[str], values: Iterable[float],
                         timestamp_s: float) -> int:
-        """Publish one instant's typed ``(topic, value)`` samples at once.
+        """Publish one instant's typed samples as one retained frame.
 
         Same deliveries, counters and bytes as :meth:`publish` of each
-        ``encode_payload(value, timestamp_s)``; returns total deliveries.
+        ``encode_payload(value, timestamp_s)``, except that a bad value or
+        topic anywhere rejects the whole frame before any state changes.
+        Returns the total deliveries.
         """
-        return self._deliver(items, timestamp_s, True, True)
+        frame = MQTTFrame(tuple(topics), tuple(values), None, timestamp_s)
+        if len(frame.topics) != len(frame.values):
+            raise ValueError(f"{len(frame.topics)} topics but "
+                             f"{len(frame.values)} values")
+        return self._deliver(frame, True)
 
-    def _deliver(self, items: Iterable[Tuple[str, object]], timestamp_s: float,
-                 retain: bool, typed: bool) -> int:
-        """The one delivery loop behind both publish entry points."""
+    def _deliver(self, frame: MQTTFrame, retain: bool) -> int:
+        """The one delivery path: check the whole frame, count, deliver."""
         if not self.available:
             self.publish_rejects += 1
             raise BrokerUnavailableError(
                 f"broker {self.hostname!r} is down; connect refused")
+        topics, values = frame.topics, frame.values
+        if values is None:
+            payload_bytes = sum(map(len, frame.wires))
+        else:
+            if not _FLOAT_ONLY.issuperset(map(type, values)):
+                for value in values:
+                    check_value(value)
+            # "<value>;<timestamp>" of each typed sample.
+            payload_bytes = (sum(map(len, map(str, values)))
+                             + len(values) * (len(str(frame.timestamp_s)) + 1))
+        route = self._routes.get(topics)
+        if route is None:
+            route = self._routes[topics] = self._route(topics)
+        else:
+            self.match_cache_hits += len(topics)
+        self.messages_published += len(topics)
+        self.messages_delivered += route.count
+        self.bytes_published += route.topic_bytes + payload_bytes
+        if retain:
+            retained = self._retained
+            for topic in topics:  # faster than dict.update(dict.fromkeys(...))
+                retained[topic] = frame
+        for callback, indices in route.deliveries:
+            callback(frame if indices is None else frame.subset(indices))
+        return route.count
+
+    def _route(self, topics: Tuple[str, ...]) -> _Route:
+        """Match each topic (through the per-topic cache) and merge."""
+        for topic in topics:
+            if "+" in topic or "#" in topic:
+                raise ValueError(
+                    f"cannot publish to a wildcard topic: {topic!r}")
         cache = self._match_cache
-        retained = self._retained
-        stamp_bytes = len(str(timestamp_s)) + 1  # ";<timestamp>" of a typed one
-        published = delivered = hits = nbytes = 0
-        make = tuple.__new__  # MQTTMessage(...) without its Python-level frame
-        try:
-            for topic, data in items:
-                if typed and type(data) is not float:  # floats always pass
-                    check_value(data)
-                callbacks = cache.get(topic)
-                if callbacks is None:
-                    if "+" in topic or "#" in topic:
-                        raise ValueError(
-                            f"cannot publish to a wildcard topic: {topic!r}")
-                    callbacks = cache[topic] = tuple(
-                        s.callback for s in self._match(topic.split("/")))
-                else:
-                    hits += 1
-                if typed:
-                    message = make(MQTTMessage,
-                                   (topic, None, timestamp_s, False, data))
-                    nbytes += len(topic) + len(str(data)) + stamp_bytes
-                else:
-                    message = make(MQTTMessage,
-                                   (topic, data, timestamp_s, False, None))
-                    nbytes += len(topic) + len(data)
-                published += 1
-                if retain:
-                    retained[topic] = message
-                for callback in callbacks:
-                    callback(message)
-                delivered += len(callbacks)
-        finally:
-            self.messages_published += published
-            self.messages_delivered += delivered
-            self.match_cache_hits += hits
-            self.bytes_published += nbytes
-        return delivered
+        matched: Dict[int, Tuple[Subscription, List[int]]] = {}
+        for index, topic in enumerate(topics):
+            subscriptions = cache.get(topic)
+            if subscriptions is None:
+                subscriptions = cache[topic] = self._match(topic.split("/"))
+            else:
+                self.match_cache_hits += 1
+            for subscription in subscriptions:
+                matched.setdefault(subscription.seq,
+                                   (subscription, []))[1].append(index)
+        deliveries = tuple(
+            (subscription.callback,
+             None if len(indices) == len(topics) else tuple(indices))
+            # Seq order is the delivery contract; this runs once per topics
+            # tuple, and publishes reuse the route.
+            for _seq, (subscription, indices)
+            in sorted(matched.items()))  # simlint: disable=PERF303
+        return _Route(deliveries, sum(map(len, topics)),
+                      sum(len(indices) for _sub, indices in matched.values()))
 
     def retained_topics(self) -> List[str]:
         """Topics with a retained last sample, sorted."""

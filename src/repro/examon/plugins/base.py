@@ -41,7 +41,7 @@ class SamplingPlugin(ABC):
 
     Subclasses implement :meth:`sample`, returning topic → value for one
     sampling instant; the base class hands each instant to the broker as
-    one typed batch and handles outage buffering/reconnect/backfill and
+    one typed frame and handles outage buffering/reconnect/backfill and
     sample accounting.
     """
 
@@ -117,7 +117,8 @@ class SamplingPlugin(ABC):
             self._maybe_reconnect(now_s)
             return 0
         try:
-            self.broker.publish_samples(metrics.items(), now_s)
+            self.broker.publish_samples(tuple(metrics),
+                                        tuple(metrics.values()), now_s)
         except BrokerUnavailableError:
             self._buffer_metrics(metrics, now_s)
             self._disconnect(now_s)
@@ -160,10 +161,11 @@ class SamplingPlugin(ABC):
             while buffer and buffer[0][2] == timestamp_s:
                 batch.append(buffer.popleft())
             try:
-                # One batch per instant under its original timestamp: the
+                # One frame per instant under its original timestamp: the
                 # TSDB covers the outage window, and chronological order
                 # keeps the retained store's last-sample-per-topic invariant.
-                self.broker.publish_samples([s[:2] for s in batch], timestamp_s)
+                topics, values, _stamps = zip(*batch)
+                self.broker.publish_samples(topics, values, timestamp_s)
             except BrokerUnavailableError:
                 # Flapped down again mid-backfill; keep the rest buffered.
                 buffer.extendleft(reversed(batch))

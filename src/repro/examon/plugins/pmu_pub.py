@@ -11,6 +11,7 @@ Fig. 5 instructions/s heatmap is produced.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.node import ComputeNode
@@ -35,29 +36,29 @@ class PmuPubPlugin(SamplingPlugin):
         super().__init__(hostname=node.hostname, broker=broker,
                          sample_hz=sample_hz, schema=schema, **hardening)
         self.node = node
-        #: (core_id, event) → formatted Table II topic.  The topic of a
-        #: metric never changes over a plugin's life, and rebuilding the
-        #: six-segment f-string chain per publish dominated the sampling
-        #: profile at 2 Hz × cores × events.
-        self._topic_cache: Dict[Tuple[int, str], str] = {}
+        #: Event layout (live events per core) → the instant's Table II
+        #: topics in read order.  A layout changes only when the U-Boot
+        #: patch enables a core's programmable bank, and formatting the
+        #: six-segment topics per publish dominated the sampling profile.
+        self._topics: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
 
     def sample(self, now_s: float) -> Dict[str, float]:
         """Read every available event on every core.
 
         With the stock U-Boot only ``cycles`` and ``instructions`` appear;
         the patched bootloader exposes the full programmable set — the
-        exact difference §IV-B describes.  One counter snapshot per core.
+        exact difference §IV-B describes.  One group read per core.
         """
         perf = self.node.board.perf
-        topics = self._topic_cache
-        metrics: Dict[str, float] = {}
-        for core_id in perf.core_ids:
-            counts = perf.read_all(core_id)
-            for event in perf.available_events(core_id):
-                topic = topics.get((core_id, event))
-                if topic is None:
-                    topic = self.schema.pmu_topic(self.hostname, core_id,
-                                                  event)
-                    topics[(core_id, event)] = topic
-                metrics[topic] = float(counts[event])
-        return metrics
+        core_ids = perf.core_ids
+        groups = list(map(perf.read_group, core_ids))
+        # A core reads either the fixed pair or the full set, so the
+        # group sizes name the layout.
+        layout = tuple(map(len, groups))
+        topics = self._topics.get(layout)
+        if topics is None:
+            topics = self._topics[layout] = tuple(
+                self.schema.pmu_topic(self.hostname, core_id, event)
+                for core_id in core_ids
+                for event in perf.available_events(core_id))
+        return dict(zip(topics, map(float, chain.from_iterable(groups))))

@@ -3,24 +3,32 @@
 Plays the role of ExaMon's Cassandra/KairosDB backend: it subscribes to
 the cluster-wide data pattern and stores (time, value) points per topic
 in two ``array('d')`` columns; wire payloads are decoded strictly, typed
-samples stored as is.  Queries support time ranges, window aggregation
-(mean/max/min/sum/rate) and cross-series alignment — enough surface for
-the Grafana-style dashboards and the batch REST API of §IV-B.
+frames appended to the columns in bulk.  Queries support time ranges,
+window aggregation (mean/max/min/sum/rate) and cross-series alignment —
+enough surface for the Grafana-style dashboards and the batch REST API
+of §IV-B.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
+from collections import deque
+from itertools import repeat
+from operator import itemgetter, le
 from typing import Dict, List, Optional, Tuple
 
-from repro.examon.broker import MQTTBroker, MQTTMessage
+from repro.examon.broker import MQTTBroker, MQTTFrame
 from repro.examon.payload import decode_payload
 from repro.examon.topics import topic_matches
 
 __all__ = ["TimeSeriesDB", "SeriesPoint"]
 
 SeriesPoint = Tuple[float, float]  # (timestamp_s, value)
+
+_last = itemgetter(-1)
+#: Run an iterator to exhaustion in C (the itertools ``consume`` recipe).
+_consume = deque(maxlen=0).extend
 
 _AGGREGATORS = {
     "mean": lambda vals: sum(vals) / len(vals),
@@ -36,6 +44,10 @@ class TimeSeriesDB:
 
     def __init__(self) -> None:
         self._series: Dict[str, Tuple[array, array]] = {}  # (times, values)
+        #: topics tuple of a typed frame -> its series' (times, values)
+        #: columns, in frame order.
+        self._columns: Dict[Tuple[str, ...],
+                            Tuple[List[array], List[array]]] = {}
         self.points_stored = 0
         self.decode_errors = 0
         #: Monotone-timestamp inserts served by the append-only fast path.
@@ -50,16 +62,40 @@ class TimeSeriesDB:
         """Subscribe this store to a broker pattern."""
         broker.subscribe(client_id, pattern, self.ingest)
 
-    def ingest(self, message: MQTTMessage) -> None:
-        """Store one MQTT message (malformed payloads are counted, kept out)."""
-        topic, wire, timestamp, _retained, value = message
-        if value is None:
-            try:
-                value, timestamp = decode_payload(wire)
-            except ValueError:
-                self.decode_errors += 1
+    def ingest(self, frame: MQTTFrame) -> None:
+        """Store one broker frame (malformed payloads are counted, kept out).
+
+        A typed frame whose series all end at or before its timestamp is
+        appended to the columns in bulk; any other frame goes point by
+        point through :meth:`insert`, in frame order.
+        """
+        values = frame.values
+        if values is None:
+            for message in frame:
+                try:
+                    value, timestamp_s = decode_payload(message.wire)
+                except ValueError:
+                    self.decode_errors += 1
+                    continue
+                self.insert(message.topic, timestamp_s, value)
+            return
+        topics, timestamp_s = frame.topics, frame.timestamp_s
+        columns = self._columns.get(topics)
+        if columns is not None:
+            times, cols = columns
+            # A nan on either side compares False and takes the slow path.
+            if all(map(le, map(_last, times), repeat(timestamp_s))):
+                _consume(map(array.append, times, repeat(timestamp_s)))
+                _consume(map(array.append, cols, values))
+                self.fast_appends += len(topics)
+                self.points_stored += len(topics)
                 return
-        self.insert(topic, timestamp, value)
+        for topic, value in zip(topics, values):
+            self.insert(topic, timestamp_s, value)
+        if columns is None:
+            series = [self._series[topic] for topic in topics]
+            self._columns[topics] = ([s[0] for s in series],
+                                     [s[1] for s in series])
 
     def insert(self, topic: str, timestamp_s: float, value: float) -> None:
         """Direct insertion (plugins under test use this path).

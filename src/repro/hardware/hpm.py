@@ -14,8 +14,7 @@ enable and program them.  This module models both layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Tuple
 
 __all__ = ["HPMUnit", "PerfEventsInterface", "PROGRAMMABLE_EVENTS", "FIXED_EVENTS"]
 
@@ -33,6 +32,9 @@ PROGRAMMABLE_EVENTS = (
     "itlb_miss",
     "dtlb_miss",
 )
+
+#: Every event, in the order perf enumerates (and group-reads) them.
+_ALL_EVENTS = FIXED_EVENTS + PROGRAMMABLE_EVENTS
 
 
 class HPMUnit:
@@ -94,12 +96,6 @@ class HPMUnit:
             raise KeyError(f"unknown HPM event {name!r}")
         return self._events[name]
 
-    def snapshot(self) -> Dict[str, int]:
-        """All counters as one mapping, as perf would enumerate them."""
-        data = {"cycles": self.cycle, "instructions": self.instret}
-        data.update(self._events)
-        return data
-
 
 class PerfEventsInterface:
     """The OS-level perf_events view over a set of per-core HPM units.
@@ -114,19 +110,19 @@ class PerfEventsInterface:
         self._units = {unit.core_id: unit for unit in hpm_units}
         if not self._units:
             raise ValueError("perf interface needs at least one core")
+        # Cores never change after construction: sort once, not per read.
+        self._core_ids = sorted(self._units)  # simlint: disable=PERF303
 
     @property
     def core_ids(self) -> list[int]:
         """Cores enumerated by the interface, ascending."""
-        return sorted(self._units)
+        return list(self._core_ids)
 
     def available_events(self, core_id: int) -> list[str]:
         """Event names that return live values on ``core_id`` right now."""
-        unit = self._units[core_id]
-        events = list(FIXED_EVENTS)
-        if unit.programmable_enabled:
-            events.extend(PROGRAMMABLE_EVENTS)
-        return events
+        if self._units[core_id].programmable_enabled:
+            return list(_ALL_EVENTS)
+        return list(FIXED_EVENTS)
 
     def read(self, core_id: int, event: str) -> int:
         """Absolute counter value for ``event`` on ``core_id``.
@@ -141,6 +137,14 @@ class PerfEventsInterface:
             return unit.instret
         return unit.read_event(event)
 
-    def read_all(self, core_id: int) -> Mapping[str, int]:
-        """Snapshot of every counter on one core."""
-        return self._units[core_id].snapshot()
+    def read_group(self, core_id: int) -> Tuple[int, ...]:
+        """Every live counter of one core in one read (perf's group read).
+
+        The counts come in :meth:`available_events` order: CYCLE, INSTRET,
+        then the programmable bank once the U-Boot patch has enabled it.
+        """
+        unit = self._units[core_id]
+        if unit.programmable_enabled:
+            # _events was built in PROGRAMMABLE_EVENTS order.
+            return (unit.cycle, unit.instret, *unit._events.values())
+        return (unit.cycle, unit.instret)

@@ -1,8 +1,10 @@
 """PERF rules — algorithmic smells on the kernel's hot paths.
 
-The event kernel (:mod:`repro.events`) and the monitoring substrate
-(:mod:`repro.examon`) are the two packages every simulated second flows
-through; the throughput gates in ``benchmarks/test_kernel_throughput.py``
+The event kernel (:mod:`repro.events`), the monitoring substrate
+(:mod:`repro.examon`) and the node hardware it samples
+(:mod:`repro.hardware`, read per core per sampling instant) are the
+packages every simulated second flows through; the throughput gates in
+``benchmarks/test_kernel_throughput.py`` and the end-to-end benchmark
 assume their inner loops stay allocation-light and O(1)-ish per event.
 These rules flag the three accidental-quadratic patterns that keep
 creeping into such code:
@@ -32,7 +34,7 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import ModuleContext, Rule, register
 
 #: Path fragments marking the packages whose inner loops are benchmarked.
-_HOT_PATHS = ("repro/events/", "repro/examon/")
+_HOT_PATHS = ("repro/events/", "repro/examon/", "repro/hardware/")
 
 
 def _on_hot_path(ctx: ModuleContext) -> bool:

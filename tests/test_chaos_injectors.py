@@ -96,7 +96,7 @@ class TestBrokerOutage:
     def test_subscriptions_survive_an_outage(self):
         broker = MQTTBroker()
         seen = []
-        broker.subscribe("c", "#", seen.append)
+        broker.subscribe("c", "#", seen.extend)
         broker.go_offline()
         broker.restore()
         broker.publish("a/b", b"1;0", 0.0)

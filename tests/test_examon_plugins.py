@@ -45,7 +45,7 @@ class TestPmuPub:
     def test_sample_and_publish_encodes_table_ii_payload(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("test", "#", received.append)
+        broker.subscribe("test", "#", received.extend)
         plugin = PmuPubPlugin(booted_node(), broker)
         count = plugin.sample_and_publish(30.0)
         assert count == len(received)

@@ -148,13 +148,13 @@ class TestStrictCodec:
             encode_payload(value, 1.0)
         broker = MQTTBroker()
         with pytest.raises(error):
-            broker.publish_samples([("a/b", value)], 1.0)
+            broker.publish_samples(["a/b"], [value], 1.0)
         assert (broker.messages_published, broker.bytes_published,
                 broker.match_cache_hits) == (0, 0, 0)
         # A bad value on an already-cached topic moves no counter either.
-        broker.publish_samples([("a/b", 1.0)], 1.0)
+        broker.publish_samples(["a/b"], [1.0], 1.0)
         with pytest.raises(error):
-            broker.publish_samples([("a/b", value)], 2.0)
+            broker.publish_samples(["a/b"], [value], 2.0)
         assert (broker.messages_published, broker.bytes_published,
                 broker.match_cache_hits) == (1, len("a/b1.0;1.0"), 0)
 
@@ -163,14 +163,14 @@ class TestBroker:
     def test_publish_delivers_to_matching_subscription(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("client", "a/+/c", received.append)
+        broker.subscribe("client", "a/+/c", received.extend)
         assert broker.publish("a/b/c", "1;2", timestamp_s=2.0) == 1
         assert received[0].topic == "a/b/c"
 
     def test_non_matching_subscription_ignored(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("client", "x/#", received.append)
+        broker.subscribe("client", "x/#", received.extend)
         assert broker.publish("a/b", "1;2", timestamp_s=2.0) == 0
         assert received == []
 
@@ -178,7 +178,7 @@ class TestBroker:
         broker = MQTTBroker()
         broker.publish("a/b", "1;1", timestamp_s=1.0)
         received = []
-        broker.subscribe("late", "a/#", received.append)
+        broker.subscribe("late", "a/#", received.extend)
         assert len(received) == 1
         assert received[0].retained
 
@@ -189,7 +189,7 @@ class TestBroker:
     def test_unsubscribe_stops_delivery(self):
         broker = MQTTBroker()
         received = []
-        subscription = broker.subscribe("c", "a/#", received.append)
+        subscription = broker.subscribe("c", "a/#", received.extend)
         broker.unsubscribe(subscription)
         broker.publish("a/b", "1;1", timestamp_s=1.0)
         assert received == []
@@ -221,7 +221,7 @@ class TestRetainedFlagSemantics:
     def test_live_delivery_carries_retained_false(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("live", "a/#", received.append)
+        broker.subscribe("live", "a/#", received.extend)
         broker.publish("a/b", "1;1", timestamp_s=1.0, retain=True)
         assert len(received) == 1
         assert received[0].retained is False
@@ -230,7 +230,7 @@ class TestRetainedFlagSemantics:
         broker = MQTTBroker()
         broker.publish("a/b", "1;1", timestamp_s=1.0, retain=True)
         received = []
-        broker.subscribe("late", "a/#", received.append)
+        broker.subscribe("late", "a/#", received.extend)
         assert len(received) == 1
         assert received[0].retained is True
 
@@ -238,7 +238,7 @@ class TestRetainedFlagSemantics:
         broker = MQTTBroker()
         broker.publish("a/b", "42.5;7.0", timestamp_s=7.0)
         received = []
-        broker.subscribe("late", "#", received.append)
+        broker.subscribe("late", "#", received.extend)
         message = received[0]
         assert (message.topic, message.payload, message.timestamp_s) == \
             ("a/b", "42.5;7.0", 7.0)
@@ -247,7 +247,7 @@ class TestRetainedFlagSemantics:
         broker = MQTTBroker()
         broker.publish("a/b", "1;1", timestamp_s=1.0)
         received = []
-        broker.subscribe("c", "a/b", received.append)
+        broker.subscribe("c", "a/b", received.extend)
         broker.publish("a/b", "2;2", timestamp_s=2.0)
         assert [m.retained for m in received] == [True, False]
 
@@ -255,7 +255,7 @@ class TestRetainedFlagSemantics:
         broker = MQTTBroker()
         broker.publish("a/b", "1;1", timestamp_s=1.0, retain=False)
         received = []
-        broker.subscribe("late", "#", received.append)
+        broker.subscribe("late", "#", received.extend)
         assert received == []
 
 
@@ -265,7 +265,7 @@ class TestTopicTrie:
     def test_hash_pattern_matches_prefix_itself(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "a/#", received.append)
+        broker.subscribe("c", "a/#", received.extend)
         broker.publish("a", "1;1", timestamp_s=1.0)
         broker.publish("a/b/c", "1;1", timestamp_s=1.0)
         assert [m.topic for m in received] == ["a", "a/b/c"]
@@ -273,7 +273,7 @@ class TestTopicTrie:
     def test_root_hash_matches_everything(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "#", received.append)
+        broker.subscribe("c", "#", received.extend)
         for topic in ("a", "a/b", "x/y/z"):
             broker.publish(topic, "1;1", timestamp_s=1.0)
         assert len(received) == 3
@@ -290,7 +290,7 @@ class TestTopicTrie:
     def test_plus_does_not_match_deeper_topics(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "a/+", received.append)
+        broker.subscribe("c", "a/+", received.extend)
         broker.publish("a/b/c", "1;1", timestamp_s=1.0)
         broker.publish("a/b", "1;1", timestamp_s=1.0)
         assert [m.topic for m in received] == ["a/b"]
@@ -309,7 +309,7 @@ class TestTopicTrie:
         broker = MQTTBroker()
         received = []
         doomed = broker.subscribe("c1", "a/+/c", lambda m: None)
-        broker.subscribe("c2", "a/b/#", received.append)
+        broker.subscribe("c2", "a/b/#", received.extend)
         broker.unsubscribe(doomed)
         assert broker.publish("a/b/c", "1;1", timestamp_s=1.0) == 1
         assert received[0].topic == "a/b/c"
@@ -334,7 +334,7 @@ class TestTopicTrie:
         topic = "/".join(topic_levels)
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", pattern, received.append)
+        broker.subscribe("c", pattern, received.extend)
         delivered = broker.publish(topic, "1;1", timestamp_s=1.0,
                                    retain=False)
         assert delivered == (1 if topic_matches(pattern, topic) else 0)

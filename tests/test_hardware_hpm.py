@@ -46,11 +46,6 @@ class TestHPMUnit:
         with pytest.raises(ValueError):
             unit.add_instructions(-1)
 
-    def test_snapshot_contains_everything(self):
-        unit = HPMUnit(core_id=0)
-        snap = unit.snapshot()
-        assert set(snap) == set(FIXED_EVENTS) | set(PROGRAMMABLE_EVENTS)
-
 
 class TestPerfEventsInterface:
     def _iface(self, enabled=False):
@@ -83,7 +78,21 @@ class TestPerfEventsInterface:
         assert iface.read(2, "instructions") == 7
         assert iface.read(0, "instructions") == 0
 
-    def test_read_all_matches_snapshot(self):
-        iface, units = self._iface(enabled=True)
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_read_group_matches_reads_in_available_events_order(self, enabled):
+        iface, units = self._iface(enabled=enabled)
         units[1].add_cycles(5)
-        assert iface.read_all(1)["cycles"] == 5
+        units[1].add_instructions(3)
+        units[1].add_event("l2_miss", 2)
+        events = iface.available_events(1)
+        assert events == list(FIXED_EVENTS) + (list(PROGRAMMABLE_EVENTS)
+                                               if enabled else [])
+        assert iface.read_group(1) == tuple(iface.read(1, e) for e in events)
+        assert iface.read_group(1)[:2] == (5, 3)
+
+    def test_listings_are_copies(self):
+        iface, _units = self._iface(enabled=True)
+        iface.core_ids.append(99)
+        iface.available_events(0).append("bogus")
+        assert iface.core_ids == [0, 1, 2, 3]
+        assert "bogus" not in iface.available_events(0)

@@ -22,7 +22,7 @@ class TestBrokerProperties:
         """Property: a '#' subscriber receives every published message."""
         broker = MQTTBroker()
         received = []
-        broker.subscribe("all", "#", received.append)
+        broker.subscribe("all", "#", received.extend)
         for i, topic in enumerate(topics):
             broker.publish(topic, f"{i};{i}", timestamp_s=float(i),
                            retain=False)
@@ -44,7 +44,7 @@ class TestBrokerProperties:
         for i, topic in enumerate(topics):
             broker.publish(topic, f"{i};{i}", timestamp_s=float(i))
         received = []
-        broker.subscribe("late", "#", received.append)
+        broker.subscribe("late", "#", received.extend)
         assert sorted(m.topic for m in received) == sorted(topics)
 
 
